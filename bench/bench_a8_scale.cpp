@@ -14,7 +14,9 @@
 //   --single: runs exactly ONE configuration (--queue heap|calendar,
 //     --stream, --retire, --pass-threads) and prints a JSON record with
 //     wall seconds, scheduler-pass seconds (--profile arms the sampler),
-//     peak RSS, and the resolved pass_threads count. BENCH_pr5.json's
+//     peak RSS, the resolved pass_threads count, and events_scheduled
+//     (events pushed, reschedules included: the exact work counter CI
+//     gates per job). BENCH_pr5.json's
 //     headline cell runs one process per configuration so the RSS numbers
 //     are honest; BENCH_pr7.json uses the pass_threads/sched_s fields to
 //     attribute intra-pass speedup. --retire frees each job record at its
@@ -73,6 +75,8 @@ struct CellResult {
   double sched_s = 0;
   double makespan_h = 0;
   std::size_t events = 0;
+  /// Events pushed, cancelled reschedules included (exact work counter).
+  std::uint64_t events_scheduled = 0;
   std::size_t completed = 0;
   /// Event-stream digest; 0 unless the spec armed hash_events.
   std::uint64_t digest = 0;
@@ -136,6 +140,7 @@ CellResult run_cell(const slurmlite::SimulationSpec& spec,
       std::chrono::duration<double>(result.stats.scheduler_cpu).count();
   cell.makespan_h = result.metrics.makespan_s / 3600.0;
   cell.events = result.events_executed;
+  cell.events_scheduled = result.events_scheduled;
   cell.completed = static_cast<std::size_t>(result.metrics.jobs_completed) +
                    static_cast<std::size_t>(result.metrics.jobs_timeout);
   cell.digest = result.event_stream_hash;
@@ -198,6 +203,7 @@ int main(int argc, char** argv) {
               << ", \"user_cpu_s\": " << process.user_cpu_s
               << ", \"sys_cpu_s\": " << process.sys_cpu_s
               << ", \"events\": " << cell.events
+              << ", \"events_scheduled\": " << cell.events_scheduled
               << ", \"completed\": " << cell.completed
               << ", \"makespan_h\": " << cell.makespan_h;
     if (!cell.rss_samples.empty()) {

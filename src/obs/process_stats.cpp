@@ -1,6 +1,8 @@
 #include "obs/process_stats.hpp"
 
 #include <fstream>
+#include <limits>
+#include <string>
 #include <thread>
 
 #include "util/json.hpp"
@@ -12,21 +14,49 @@
 
 #if defined(__linux__)
 #include <unistd.h>
-#define COSCHED_HAVE_PROC_STATM 1
+#define COSCHED_HAVE_PROCFS 1
 #endif
 
 namespace cosched::obs {
 
+namespace {
+
+/// This process's own peak RSS in MiB from /proc/self/status VmHWM, or 0
+/// where procfs is unavailable. Unlike getrusage's ru_maxrss, VmHWM does
+/// not survive exec, so a process started from a larger parent reports
+/// its own peak rather than the parent's.
+double vm_hwm_mb() {
+#ifdef COSCHED_HAVE_PROCFS
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      double kib = 0;
+      if (status >> kib) return kib / 1024.0;
+      break;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+#endif
+  return 0;
+}
+
+}  // namespace
+
 ProcessStats process_stats() {
   ProcessStats stats;
+  stats.max_rss_mb = vm_hwm_mb();
 #ifdef COSCHED_HAVE_GETRUSAGE
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    if (stats.max_rss_mb <= 0) {
 #ifdef __APPLE__
-    stats.max_rss_mb = static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
+      stats.max_rss_mb =
+          static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
 #else
-    stats.max_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
+      stats.max_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
 #endif
+    }
     auto seconds = [](const timeval& tv) {
       return static_cast<double>(tv.tv_sec) +
              static_cast<double>(tv.tv_usec) / 1e6;
@@ -41,7 +71,7 @@ ProcessStats process_stats() {
 }
 
 double current_rss_mb() {
-#ifdef COSCHED_HAVE_PROC_STATM
+#ifdef COSCHED_HAVE_PROCFS
   // statm field 2 is resident pages; current (not peak), so repeated
   // samples can show a flat curve where getrusage's high-water mark only
   // shows the worst moment.

@@ -19,13 +19,16 @@ class JsonWriter;
 namespace cosched::obs {
 
 struct ProcessStats {
-  double max_rss_mb = 0;  ///< getrusage peak resident set, MiB
+  /// Peak resident set of this process image, MiB: /proc/self/status
+  /// VmHWM on Linux, getrusage ru_maxrss elsewhere (which survives exec,
+  /// so it can report a larger parent's peak).
+  double max_rss_mb = 0;
   double user_cpu_s = 0;
   double sys_cpu_s = 0;
   int hardware_concurrency = 0;  ///< std::thread::hardware_concurrency
 };
 
-/// Reads RUSAGE_SELF. Zeroes on platforms without getrusage.
+/// Reads VmHWM and RUSAGE_SELF. Zeroes on platforms without either.
 ProcessStats process_stats();
 
 /// The process's *current* (not peak) resident set in MiB, from

@@ -195,6 +195,10 @@ class Engine {
   bool empty() const { return live_events_ == 0; }
   std::size_t pending() const { return live_events_; }
   std::size_t executed() const { return executed_; }
+  /// Events ever pushed, cancelled ones included (ids are issued densely
+  /// from 1). A host-independent work counter: every reschedule of a
+  /// pending event counts one push.
+  std::uint64_t scheduled() const { return next_id_ - 1; }
 
   /// Current width of the id -> slot window (test/diagnostic seam): the
   /// span from the oldest uncompacted id to the newest issued one. Stays

@@ -280,9 +280,32 @@ Controller::RunningSlot& Controller::running_slot(JobId id) {
   return *it;
 }
 
-void Controller::settle_rates() {
-  execution_.refresh_rates(machine_.dirty_nodes());
+void Controller::settle() {
+  execution_.refresh_rates(machine_.dirty_nodes(), now());
   machine_.clear_dirty_nodes();
+  // Submit-index order: EventIds are handed out in iteration order, so
+  // they stay a pure function of the decision sequence.
+  resync_order_.clear();
+  for (JobId id : execution_.changed()) {
+    resync_order_.emplace_back(submit_index_.at(id), id);
+  }
+  std::sort(resync_order_.begin(), resync_order_.end());
+  for (const auto& entry : resync_order_) {
+    const JobId id = entry.second;
+    RunningSlot& slot = running_slot(id);
+    const SimTime predicted = execution_.predicted_end(id);
+    if (slot.has_end) {
+      if (slot.end_time == predicted) {
+        continue;  // prediction unchanged; keep the existing event
+      }
+      engine_.cancel(slot.end_event);
+    }
+    slot.end_event = engine_.schedule_at(
+        predicted, sim::EventPriority::kJobEnd, "job_end",
+        [this, id] { on_complete(id); });
+    slot.has_end = true;
+    slot.end_time = predicted;
+  }
 }
 
 void Controller::cancel_end_event(JobId id) {
@@ -444,15 +467,10 @@ void Controller::run_scheduler_pass() {
   if (pending_.empty()) return;
   COSCHED_PROF_SCOPE("schedule_pass");
   if (pass_can_early_exit()) {
-    // The skipped pass still counts (stats parity with a full no-op pass)
-    // and still settles the execution model: sync/refresh/resync must run
-    // at the same instants as an unskipped pass so floating-point progress
-    // accrues in the identical sequence (skipping an intermediate sync
-    // would re-associate the accumulation and shift predicted ends).
+    // The skipped pass still counts (stats parity with a full no-op pass).
+    // There is nothing to settle: every topology change settles where it
+    // happens, and progress is written only when a rate changes.
     ++stats_.scheduler_passes;
-    execution_.sync(now());
-    settle_rates();
-    resync_completions();
     last_noop_valid_ = true;
     last_noop_machine_gen_ = machine_.generation();
     last_noop_queue_gen_ = queue_generation_;
@@ -476,7 +494,6 @@ void Controller::run_scheduler_pass() {
                                              .size()));
   }
   in_pass_ = true;
-  execution_.sync(now());
   // Host clock measures real decision cost only; it never feeds back into
   // simulated state, so it cannot break determinism. Untraced runs skip
   // the clock reads entirely — two clock samples per pass are pure
@@ -502,8 +519,7 @@ void Controller::run_scheduler_pass() {
   // per pass rather than per start.
   {
     COSCHED_PROF_SCOPE("pass_settle");
-    settle_rates();
-    resync_completions();
+    settle();
   }
   if (tracer_ != nullptr) {
     tracer_->pass_end(pass, stats_.primary_starts - primary_before,
@@ -547,9 +563,6 @@ void Controller::start_common(JobId id, const std::vector<NodeId>& nodes,
   COSCHED_CHECK_MSG(static_cast<int>(nodes.size()) == j.nodes,
                     "job " << id << " wants " << j.nodes << " nodes, got "
                            << nodes.size());
-  // Outside a pass the execution model may be stale; passes sync up front.
-  if (!in_pass_) execution_.sync(now());
-
   // The machine caches the walltime end in its free-time index; it must
   // equal walltime_end(id) (the kill event below fires at that instant).
   const SimTime limit_end = now() + j.walltime_limit;
@@ -603,18 +616,14 @@ void Controller::start_common(JobId id, const std::vector<NodeId>& nodes,
     initial_progress = it->second;  // checkpoint restore after failure
   }
   execution_.start(j, now(), initial_progress);
-  running_slot(id).exec_cell = execution_.running_cell(id);
 
   // Walltime enforcement.
   kill_events_[id] =
       engine_.schedule_at(now() + j.walltime_limit, sim::EventPriority::kTimer,
                           "timeout", [this, id] { on_timeout(id); });
-  // Completion event placed by resync_completions() (rates are not final
-  // mid-pass); ensure the pass settles even for starts outside a pass.
-  if (!in_pass_) {
-    settle_rates();
-    resync_completions();
-  }
+  // Completion event placed by settle() (rates are not final mid-pass);
+  // a start outside a pass settles at once.
+  if (!in_pass_) settle();
   COSCHED_DEBUG("t=" << format_duration(now()) << " start job " << id
                      << (kind == cluster::AllocationKind::kSecondary
                              ? " (co-allocated)"
@@ -629,37 +638,15 @@ void Controller::start_secondary(JobId id, const std::vector<NodeId>& nodes) {
   start_common(id, nodes, cluster::AllocationKind::kSecondary);
 }
 
-void Controller::resync_completions() {
-  // Submit-index order: EventIds are handed out in iteration order, so
-  // this must replay the old submit_order_ scan exactly (see
-  // running_by_submit_).
-  for (RunningSlot& slot : running_by_submit_) {
-    const SimTime predicted =
-        execution_.predicted_end_cell(slot.exec_cell, now());
-    if (slot.has_end) {
-      if (slot.end_time == predicted) {
-        continue;  // prediction unchanged; keep the existing event
-      }
-      engine_.cancel(slot.end_event);
-    }
-    slot.end_event = engine_.schedule_at(
-        predicted, sim::EventPriority::kJobEnd, "job_end",
-        [this, id = slot.id] { on_complete(id); });
-    slot.has_end = true;
-    slot.end_time = predicted;
-  }
-}
-
 void Controller::on_complete(JobId id) {
   workload::Job& j = job_mutable(id);
   COSCHED_CHECK(j.state == workload::JobState::kRunning);
-  execution_.sync(now());
   // The completion event is only scheduled from settled rates, so the
   // remaining work must be (numerically) zero.
-  COSCHED_CHECK_MSG(execution_.remaining_work_s(id) < 1e-3,
-                    "completion fired with " << execution_.remaining_work_s(id)
-                                             << "s of work left on job "
-                                             << id);
+  COSCHED_CHECK_MSG(execution_.remaining_work_s(id, now()) < 1e-3,
+                    "completion fired with "
+                        << execution_.remaining_work_s(id, now())
+                        << "s of work left on job " << id);
   j.observed_dilation = execution_.observed_dilation(id, now());
   j.state = workload::JobState::kCompleted;
   j.end_time = now();
@@ -678,8 +665,7 @@ void Controller::on_complete(JobId id) {
   execution_.finish(id);
   if (retire_) meter_.vacate(j.alloc_nodes, now());
   machine_.release(id);
-  settle_rates();
-  resync_completions();
+  settle();
   usage_.charge(j.user,
                 static_cast<double>(j.nodes) *
                     to_seconds(j.end_time - j.start_time),
@@ -699,7 +685,6 @@ void Controller::on_complete(JobId id) {
 void Controller::on_timeout(JobId id) {
   workload::Job& j = job_mutable(id);
   COSCHED_CHECK(j.state == workload::JobState::kRunning);
-  execution_.sync(now());
   j.observed_dilation = execution_.observed_dilation(id, now());
   j.state = workload::JobState::kTimeout;
   j.end_time = now();
@@ -709,7 +694,8 @@ void Controller::on_timeout(JobId id) {
   if (registry_ != nullptr) registry_->counter("timeouts").inc();
   COSCHED_WARN("t=" << format_duration(now()) << " job " << id
                     << " hit its walltime limit with "
-                    << execution_.remaining_work_s(id) << "s of work left");
+                    << execution_.remaining_work_s(id, now())
+                    << "s of work left");
 
   cancel_end_event(id);
   kill_events_.erase(id);
@@ -717,8 +703,7 @@ void Controller::on_timeout(JobId id) {
   execution_.finish(id);
   if (retire_) meter_.vacate(j.alloc_nodes, now());
   machine_.release(id);
-  settle_rates();
-  resync_completions();
+  settle();
   usage_.charge(j.user,
                 static_cast<double>(j.nodes) *
                     to_seconds(j.end_time - j.start_time),
@@ -753,7 +738,7 @@ void Controller::requeue(JobId id) {
           (elapsed / checkpoint_interval_) * checkpoint_interval_;
       const double fraction = static_cast<double>(checkpointed) /
                               static_cast<double>(elapsed);
-      resume_progress_[id] = execution_.progress_s(id) * fraction;
+      resume_progress_[id] = execution_.progress_s(id, now()) * fraction;
     }
   }
   cancel_end_event(id);
@@ -787,7 +772,6 @@ void Controller::on_node_fail(NodeId node, SimDuration duration) {
   ++stats_.node_failures;
   COSCHED_WARN("t=" << format_duration(now()) << " node " << node
                     << " failed for " << format_duration(duration));
-  execution_.sync(now());
   // Every job with a foot on this node loses its run.
   const auto victims = machine_.node(node).jobs();
   for (JobId id : victims) {
@@ -814,8 +798,7 @@ void Controller::on_node_fail(NodeId node, SimDuration duration) {
     }
   }
   machine_.set_node_down(node, true);
-  settle_rates();
-  resync_completions();
+  settle();
   engine_.schedule_at(now() + duration, sim::EventPriority::kTimer, "node_up",
                       [this, node] {
                         machine_.set_node_down(node, false);
@@ -860,7 +843,6 @@ bool Controller::cancel(JobId id) {
       return true;
     }
     case workload::JobState::kRunning: {
-      execution_.sync(now());
       j.observed_dilation = execution_.observed_dilation(id, now());
       j.state = workload::JobState::kCancelled;
       j.end_time = now();
@@ -877,8 +859,7 @@ bool Controller::cancel(JobId id) {
       execution_.finish(id);
       if (retire_) meter_.vacate(j.alloc_nodes, now());
       machine_.release(id);
-      settle_rates();
-      resync_completions();
+      settle();
       usage_.charge(j.user,
                     static_cast<double>(j.nodes) *
                         to_seconds(j.end_time - j.start_time),

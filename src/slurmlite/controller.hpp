@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "apps/catalog.hpp"
@@ -148,6 +149,13 @@ class Controller final : public core::SchedulerHost,
   /// same sequence. The source must outlive the drain (engine.run()).
   void submit_stream(workload::JobSource& source);
 
+  /// Schedules a scheduler pass at the current instant, after every
+  /// higher-priority event there (coalesced: one pass per request burst).
+  /// Every state change already requests one; an extra pass over an
+  /// unchanged state starts nothing, so calling this never changes a
+  /// decision.
+  void request_schedule();
+
   /// scancel: cancels a job in any live state. Pending/held jobs are
   /// removed from the queue; running jobs are killed and their resources
   /// released; dependents are cancelled in cascade. Returns false if the
@@ -238,7 +246,6 @@ class Controller final : public core::SchedulerHost,
   void on_complete(JobId id);
   void on_timeout(JobId id);
   void on_node_fail(NodeId node, SimDuration duration);
-  void request_schedule();
   void run_scheduler_pass();
   /// True when the pass can be skipped without altering any decision or
   /// observable byte (see run_scheduler_pass).
@@ -249,8 +256,6 @@ class Controller final : public core::SchedulerHost,
   /// replays the submit_order_ scan it replaced, byte for byte).
   void track_running(JobId id);
   void untrack_running(JobId id);
-  /// Cancels and reschedules completion events whose prediction moved.
-  void resync_completions();
   void remove_pending(JobId id);
   /// Puts the job on the eligible queue (dependency satisfied).
   void enqueue(JobId id);
@@ -314,22 +319,14 @@ class Controller final : public core::SchedulerHost,
   bool in_pass_ = false;
   /// Attached arrival stream (submit_stream), nullptr once exhausted.
   workload::JobSource* stream_ = nullptr;
-  /// One slot per running job, sorted by submit index: iterating in order
-  /// reproduces the old "walk submit_order_, filter running" scan in
-  /// O(running). resync_completions — the hottest per-pass loop — walks
-  /// this flat array, and iteration order decides EventId assignment, so
-  /// the order must match the replaced scan exactly. The completion-event
-  /// handle and its scheduled time live inline so the resync does zero
-  /// hash lookups per job.
+  /// One slot per running job, sorted by submit index (running_ids lists
+  /// jobs in submit order), holding the job's completion-event handle and
+  /// its scheduled time.
   struct RunningSlot {
     std::size_t submit_idx;
     JobId id;
-    /// The job's cell in the execution model's running slab (stable until
-    /// finish). Cached at start so resync_completions reads the entry
-    /// without a by-id search per job per pass.
-    std::uint32_t exec_cell = 0xFFFFFFFFu;
     /// Completion event currently scheduled for this job; invalid (and
-    /// end_time meaningless) until the first resync places one.
+    /// end_time meaningless) until the first settle places one.
     bool has_end = false;
     sim::EventId end_event = 0;
     SimTime end_time = 0;
@@ -338,9 +335,12 @@ class Controller final : public core::SchedulerHost,
   /// The tracked slot for a running job (must exist).
   RunningSlot& running_slot(JobId id);
   /// Settles running rates against the machine by draining its dirty-node
-  /// list into the execution model's incremental refresh (bit-identical to
-  /// the full scan; see ExecutionModel::refresh_rates(dirty)).
-  void settle_rates();
+  /// list into the execution model, then reschedules the completion event
+  /// of every job on the model's changed list (new starts and rate
+  /// changes), in submit-index order. Cost is O(dirty residents).
+  void settle();
+  /// settle()'s (submit index, job) staging, reused across calls.
+  std::vector<std::pair<std::size_t, JobId>> resync_order_;
   /// Cancels `id`'s pending completion event, if any (slot stays tracked).
   void cancel_end_event(JobId id);
   std::unordered_map<JobId, std::size_t> submit_index_;

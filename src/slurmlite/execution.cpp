@@ -13,11 +13,8 @@ ExecutionModel::ExecutionModel(const cluster::Machine& machine,
     : machine_(machine), catalog_(catalog), corun_(corun) {}
 
 const ExecutionModel::Running* ExecutionModel::find(JobId id) const {
-  const auto it = std::lower_bound(
-      order_.begin(), order_.end(), id,
-      [this](std::uint32_t cell, JobId key) { return slab_[cell].id < key; });
-  if (it == order_.end() || slab_[*it].id != id) return nullptr;
-  return &slab_[*it];
+  const auto it = running_.find(id);
+  return it == running_.end() ? nullptr : &it->second;
 }
 
 const ExecutionModel::Running& ExecutionModel::get(JobId id) const {
@@ -28,14 +25,13 @@ const ExecutionModel::Running& ExecutionModel::get(JobId id) const {
 
 void ExecutionModel::start(const workload::Job& job, SimTime now,
                            double initial_progress_s) {
-  COSCHED_CHECK(find(job.id) == nullptr);
   COSCHED_CHECK(machine_.allocation(job.id) != nullptr);
   COSCHED_CHECK(initial_progress_s >= 0);
   Running r;
   r.id = job.id;
   r.app = job.app;
   r.start = now;
-  r.last_sync = now;
+  r.anchor = now;
   r.work_s = to_seconds(job.base_runtime);
   r.progress_s = std::min(initial_progress_s, r.work_s);
   r.initial_s = r.progress_s;
@@ -44,49 +40,12 @@ void ExecutionModel::start(const workload::Job& job, SimTime now,
   r.locality = machine_.topology().locality_dilation(
       r.alloc->nodes, catalog_.get(job.app).stress.network);
   r.rate = 1.0;  // placeholder; refresh_rates() sets the true value
-  std::uint32_t cell;
-  if (free_cells_.empty()) {
-    cell = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(r);
-  } else {
-    cell = free_cells_.back();
-    free_cells_.pop_back();
-    slab_[cell] = r;
-  }
-  order_.insert(
-      std::lower_bound(order_.begin(), order_.end(), job.id,
-                       [this](std::uint32_t c, JobId key) {
-                         return slab_[c].id < key;
-                       }),
-      cell);
+  COSCHED_CHECK_MSG(running_.emplace(job.id, r).second,
+                    "job " << job.id << " already running");
 }
 
 void ExecutionModel::finish(JobId id) {
-  const auto it = std::lower_bound(
-      order_.begin(), order_.end(), id,
-      [this](std::uint32_t cell, JobId key) { return slab_[cell].id < key; });
-  COSCHED_CHECK_MSG(it != order_.end() && slab_[*it].id == id,
-                    "finish of untracked job " << id);
-  free_cells_.push_back(*it);
-  slab_[*it].alloc = nullptr;  // the allocation is about to be released
-  order_.erase(it);
-}
-
-void ExecutionModel::sync(SimTime now) {
-  if (now == last_sync_ && !order_.empty()) {
-    // Every tracked job is already at `now`: jobs started since the last
-    // sync were registered with last_sync = now. The skipped step would
-    // add to_seconds(0) * rate == 0.0 to each accumulator, so this
-    // early-out is bit-identical, not just approximately equal.
-    return;
-  }
-  for (std::uint32_t cell : order_) {
-    Running& r = slab_[cell];
-    COSCHED_CHECK(now >= r.last_sync);
-    r.progress_s += to_seconds(now - r.last_sync) * r.rate;
-    r.last_sync = now;
-  }
-  last_sync_ = now;
+  COSCHED_CHECK_MSG(running_.erase(id) == 1, "finish of untracked job " << id);
 }
 
 double ExecutionModel::compute_rate(const Running& job) const {
@@ -122,28 +81,9 @@ double ExecutionModel::compute_rate(const Running& job) const {
   return 1.0 / worst;
 }
 
-void ExecutionModel::refresh_rates() {
-  for (std::uint32_t cell : order_) {
-    Running& r = slab_[cell];
-    // A job's rate is a pure function of its nodes' slot contents (which
-    // co-residents, which apps), all captured by the machine's per-node
-    // generation counters. Unchanged generations -> the recompute would
-    // overwrite r.rate with the exact same value (no accumulation), so
-    // skipping it is bit-identical.
-    std::uint64_t gen = 0;
-    for (NodeId node : r.alloc->nodes) {
-      gen = std::max(gen, machine_.node_generation(node));
-    }
-    if (gen == r.rate_gen) continue;  // co-residency unchanged since
-    r.rate = compute_rate(r) / r.locality;
-    r.rate_gen = gen;
-  }
-}
-
-void ExecutionModel::refresh_rates(std::span<const NodeId> dirty) {
-  // Equivalence with the full scan is argued in the header: the visited
-  // set (residents of resynced nodes) is a superset of the jobs whose
-  // generation max moved, and every visit applies the same memo rule.
+void ExecutionModel::refresh_rates(std::span<const NodeId> dirty,
+                                   SimTime now) {
+  changed_.clear();
   ++refresh_epoch_;
   for (NodeId node_id : dirty) {
     for (JobId resident : machine_.node(node_id).slot_jobs()) {
@@ -159,58 +99,52 @@ void ExecutionModel::refresh_rates(std::span<const NodeId> dirty) {
         gen = std::max(gen, machine_.node_generation(node));
       }
       if (gen == r->rate_gen) continue;  // co-residency unchanged since
-      r->rate = compute_rate(*r) / r->locality;
+      // A just-started job (rate never computed) has no end yet; its
+      // allocation resynced its nodes, so it is always visited here.
+      const bool started = r->rate_gen == 0;
+      COSCHED_CHECK(!started || now == r->anchor);
       r->rate_gen = gen;
+      const double rate = compute_rate(*r) / r->locality;
+      if (!started && rate == r->rate) continue;  // same pace: end holds
+      r->progress_s = progress_at(*r, now);
+      r->anchor = now;
+      r->rate = rate;
+      changed_.push_back(r->id);
     }
   }
 }
 
-SimTime ExecutionModel::predicted_end_of(const Running& r, SimTime now) {
-  COSCHED_CHECK_MSG(r.last_sync == now,
-                    "predicted_end requires sync at current time");
+double ExecutionModel::progress_at(const Running& r, SimTime now) {
+  COSCHED_CHECK_MSG(now >= r.anchor,
+                    "job " << r.id << " read before its anchor");
+  return r.progress_s + to_seconds(now - r.anchor) * r.rate;
+}
+
+SimTime ExecutionModel::predicted_end(JobId id) const {
+  const Running& r = get(id);
   const double remaining = std::max(0.0, r.work_s - r.progress_s);
   // Ceil to a whole microsecond so the completion event never fires a tick
   // before the work is done.
   const double wall_s = remaining / r.rate;
-  const auto micros = static_cast<SimTime>(
-      std::ceil(wall_s * static_cast<double>(kSecond)));
-  return now + micros;
-}
-
-SimTime ExecutionModel::predicted_end(JobId id, SimTime now) const {
-  return predicted_end_of(get(id), now);
-}
-
-std::uint32_t ExecutionModel::running_cell(JobId id) const {
-  const Running* r = find(id);
-  COSCHED_CHECK_MSG(r != nullptr, "job " << id << " not tracked as running");
-  return static_cast<std::uint32_t>(r - slab_.data());
-}
-
-SimTime ExecutionModel::predicted_end_cell(std::uint32_t cell,
-                                           SimTime now) const {
-  COSCHED_CHECK(cell < slab_.size());
-  const Running& r = slab_[cell];
-  COSCHED_CHECK_MSG(r.alloc != nullptr, "stale running cell " << cell);
-  return predicted_end_of(r, now);
+  return r.anchor + static_cast<SimTime>(
+                        std::ceil(wall_s * static_cast<double>(kSecond)));
 }
 
 double ExecutionModel::dilation(JobId id) const { return 1.0 / get(id).rate; }
 
-double ExecutionModel::remaining_work_s(JobId id) const {
+double ExecutionModel::remaining_work_s(JobId id, SimTime now) const {
   const Running& r = get(id);
-  return std::max(0.0, r.work_s - r.progress_s);
+  return std::max(0.0, r.work_s - progress_at(r, now));
 }
 
-double ExecutionModel::progress_s(JobId id) const {
-  return get(id).progress_s;
+double ExecutionModel::progress_s(JobId id, SimTime now) const {
+  return progress_at(get(id), now);
 }
 
 double ExecutionModel::observed_dilation(JobId id, SimTime now) const {
   const Running& r = get(id);
   const double elapsed = to_seconds(now - r.start);
-  const double progressed =
-      r.progress_s + to_seconds(now - r.last_sync) * r.rate - r.initial_s;
+  const double progressed = progress_at(r, now) - r.initial_s;
   return progressed > 0 ? elapsed / progressed : 1.0;
 }
 

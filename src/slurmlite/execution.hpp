@@ -4,13 +4,20 @@
 // A job's work is its exclusive runtime. While running it accrues progress
 // at rate 1/dilation, where dilation is the worst per-node slowdown over
 // its allocation (bulk-synchronous apps run at the pace of their slowest
-// node). Whenever the co-residency topology changes — a job starts on or
-// leaves a shared node — the controller syncs accrued progress at the old
-// rates, recomputes rates from the new topology, and reschedules completion
-// events.
+// node). A rate is piecewise constant: it moves only when the job's
+// co-residency changes. So each running job keeps its progress in closed
+// form, (anchor, progress at anchor, rate), and progress at any later
+// instant is `progress + (t - anchor) * rate`. The anchor moves, and
+// progress is written, only when a refresh finds that the job's rate
+// actually differs from the one it had — a decision event — never because
+// time passed or someone looked. The predicted completion instant is
+// therefore constant between rate changes, and the controller reschedules
+// a completion event only for jobs on the changed list (new starts and
+// rate changes). Reading at any set of instants cannot change a result.
 #pragma once
 
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,7 +37,9 @@ class ExecutionModel {
                  const interference::CorunModel& corun);
 
   /// Registers a job that was just allocated on the machine. The caller
-  /// must call refresh_rates() afterwards (co-residents' rates change too).
+  /// must call refresh_rates() at the same instant afterwards: that sets
+  /// the job's rate (co-residents' rates change too) and lists it as
+  /// changed.
   /// `initial_progress_s` credits already-completed work (checkpoint
   /// restore after a failure requeue).
   void start(const workload::Job& job, SimTime now,
@@ -42,57 +51,39 @@ class ExecutionModel {
   /// allocation pointer.
   void finish(JobId id);
 
-  /// Advances every running job's progress to `now` at current rates.
-  /// Must be called before any topology mutation. Repeated syncs at the
-  /// same instant return immediately (a zero-length step adds exactly
-  /// 0.0 to every accumulator, so skipping it is bit-identical).
-  void sync(SimTime now);
+  /// Settles the rates of the jobs resident on `dirty` (the machine's
+  /// resynced-since-last-drain node list) at `now`. Rates are memoized
+  /// under the machine's per-node generation counters: a job's co-run
+  /// slowdown is a pure function of its nodes' slot contents, and its max
+  /// node generation moves iff one of its nodes was resynced, so only
+  /// residents of dirty nodes can need the (expensive) corun model. A job
+  /// whose recomputed rate differs writes its progress at the old rate,
+  /// re-anchors at `now` and is listed in changed(); an equal rate touches
+  /// nothing. Cost is O(churned nodes), not O(running).
+  void refresh_rates(std::span<const NodeId> dirty, SimTime now);
 
-  /// Settles every running job's rate against the machine topology.
-  /// Requires sync(now) to have been called at the current time. Rates are
-  /// memoized under the machine's per-node generation counters: a job's
-  /// co-run slowdown is a pure function of its nodes' slot contents, so
-  /// the (expensive) corun model only reruns for jobs whose nodes changed
-  /// since their rate was last computed.
-  void refresh_rates();
+  /// Jobs whose predicted end may have moved in the last refresh_rates()
+  /// call — new starts and rate changes, each once, in no particular
+  /// order. Valid until the next start(), finish() or refresh_rates().
+  const std::vector<JobId>& changed() const { return changed_; }
 
-  /// Incremental form: settles only the jobs resident on `dirty` (the
-  /// machine's resynced-since-last-drain node list). Bit-identical to the
-  /// full scan: a job's max node generation moved iff one of its nodes was
-  /// resynced, and the job is by definition resident there, so the visited
-  /// superset contains every job the full scan would recompute — and each
-  /// visited job applies the same generation memo. compute_rate reads only
-  /// co-residents' app ids (never their rates), so recompute order cannot
-  /// couple results; walking dirty-node residents instead of JobId order
-  /// changes nothing. Cost is O(churned nodes), not O(running x nodes).
-  void refresh_rates(std::span<const NodeId> dirty);
-
-  /// Time at which the job completes its remaining work at current rates.
-  SimTime predicted_end(JobId id, SimTime now) const;
-
-  /// Stable handle of a tracked job's slab cell, valid from start() to
-  /// finish(). The controller caches it next to its completion-event slot
-  /// so the per-pass completion resync — predicted_end for every running
-  /// job, every pass — reads the entry directly instead of repeating a
-  /// by-id binary search.
-  std::uint32_t running_cell(JobId id) const;
-
-  /// predicted_end served from a cached running_cell() handle.
-  SimTime predicted_end_cell(std::uint32_t cell, SimTime now) const;
+  /// Instant at which the job completes its remaining work at its current
+  /// rate: anchor + ceil(remaining / rate). Constant between rate changes.
+  SimTime predicted_end(JobId id) const;
 
   /// Current dilation (1/rate).
   double dilation(JobId id) const;
 
-  /// Remaining work in exclusive-seconds.
-  double remaining_work_s(JobId id) const;
+  /// Remaining work in exclusive-seconds at `now`.
+  double remaining_work_s(JobId id, SimTime now) const;
 
-  /// Completed work in exclusive-seconds (as of the last sync).
-  double progress_s(JobId id) const;
+  /// Completed work in exclusive-seconds at `now`.
+  double progress_s(JobId id, SimTime now) const;
 
   /// Cumulative dilation experienced so far: elapsed / progress.
   double observed_dilation(JobId id, SimTime now) const;
 
-  std::size_t running_count() const { return order_.size(); }
+  std::size_t running_count() const { return running_.size(); }
   bool is_running(JobId id) const { return find(id) != nullptr; }
 
   /// High-water bytes of the rate-computation scratch arena. Feeds the
@@ -106,9 +97,9 @@ class ExecutionModel {
     JobId id;
     AppId app;
     SimTime start;
-    SimTime last_sync;
+    SimTime anchor;     ///< instant progress_s was last written
     double work_s;      ///< total exclusive-seconds of work
-    double progress_s;  ///< exclusive-seconds completed
+    double progress_s;  ///< exclusive-seconds completed at `anchor`
     double initial_s;   ///< progress credited at start (checkpoint restore)
     double locality;    ///< placement locality dilation (fixed per run)
     double rate;        ///< progress per wall second (= 1/dilation)
@@ -116,8 +107,8 @@ class ExecutionModel {
     /// 0 means never computed (node generations start above 0 once
     /// allocated). See refresh_rates().
     std::uint64_t rate_gen = 0;
-    /// Last refresh_rates(dirty) call that visited this entry (multi-node
-    /// jobs appear under several dirty nodes; the epoch dedups the visits).
+    /// Last refresh_rates call that visited this entry (multi-node jobs
+    /// appear under several dirty nodes; the epoch dedups the visits).
     std::uint64_t visit_epoch = 0;
     /// The job's machine allocation. Allocation records live in a
     /// node-based container, so the pointer is stable from allocate to
@@ -133,29 +124,20 @@ class ExecutionModel {
   const Running& get(JobId id) const;
 
   double compute_rate(const Running& r) const;
-  static SimTime predicted_end_of(const Running& r, SimTime now);
+  static double progress_at(const Running& r, SimTime now);
 
   const cluster::Machine& machine_;
   const apps::Catalog& catalog_;
   const interference::CorunModel& corun_;
-  // Running entries live in a stable slab (cells are recycled but never
-  // move), with a parallel index of cell numbers sorted by JobId. The
-  // sync/refresh loops walk the index, so floating-point progress updates
-  // replay the old sorted-vector (and before it, std::map) iteration
-  // identically (determinism audit); start/finish memmove 4-byte cell
-  // numbers instead of whole Running structs; and the controller can hold
-  // a cell handle across passes (running_cell / predicted_end_cell)
-  // because the cell address survives unrelated inserts and erases.
-  std::vector<Running> slab_;
-  std::vector<std::uint32_t> free_cells_;  ///< recycled slab cells (LIFO)
+  // Nothing iterates the running table (settling walks dirty nodes'
+  // residents), so its order cannot reach a decision.
+  std::unordered_map<JobId, Running> running_;
   /// Bump storage for compute_rate's per-node stress/slowdown staging
   /// (controller thread only; frames rewind it per call).
   mutable core::PassArena arena_;
-  std::vector<std::uint32_t> order_;       ///< slab cells sorted by JobId
-  /// Monotone id of the current refresh_rates(dirty) call (visit dedup).
+  /// Monotone id of the current refresh_rates call (visit dedup).
   std::uint64_t refresh_epoch_ = 0;
-  /// Instant of the last sync(); repeated same-instant syncs early-out.
-  SimTime last_sync_ = -1;
+  std::vector<JobId> changed_;  ///< see changed()
 };
 
 }  // namespace cosched::slurmlite

@@ -61,6 +61,7 @@ SimulationResult run_with(const SimulationSpec& spec,
   SimulationResult result;
   result.stats = controller.stats();
   result.events_executed = engine.executed();
+  result.events_scheduled = engine.scheduled();
   if (controller.retire_mode()) {
     // Records were freed as jobs finished; metrics come from the stream
     // accumulator and the digest from the stored per-job subdigests —

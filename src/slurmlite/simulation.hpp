@@ -49,6 +49,9 @@ struct SimulationResult {
   metrics::ScheduleMetrics metrics;  ///< computed over `jobs`
   ControllerStats stats;
   std::size_t events_executed = 0;
+  /// Events pushed onto the engine, cancelled reschedules included
+  /// (sim::Engine::scheduled).
+  std::uint64_t events_scheduled = 0;
   /// FNV-1a digest of the executed event stream folded with the final job
   /// records; 0 unless SimulationSpec::hash_events was set.
   std::uint64_t event_stream_hash = 0;

@@ -3,6 +3,12 @@
 // cancellations. Deterministic (seeded), so failures reproduce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <tuple>
+#include <vector>
+
+#include "audit/determinism.hpp"
 #include "slurmlite/execution.hpp"
 #include "slurmlite/simulation.hpp"
 #include "test_support.hpp"
@@ -20,98 +26,203 @@ const apps::Catalog& trinity() {
 
 // --- ExecutionModel under random start/finish churn --------------------------------
 
+/// A machine plus the execution model over it, settled the way the
+/// controller settles: drain the dirty nodes into the model at `now`.
+struct ExecTwin {
+  explicit ExecTwin(const interference::CorunModel& corun)
+      : exec(machine, trinity(), corun) {}
+  void settle(SimTime now) {
+    exec.refresh_rates(machine.dirty_nodes(), now);
+    machine.clear_dirty_nodes();
+  }
+  cluster::Machine machine{6, cluster::NodeConfig{}};
+  slurmlite::ExecutionModel exec;
+};
+
+/// One random churn step at `now`, applied identically to every twin (the
+/// twins' machines stay in lockstep, so free-node searches agree): start a
+/// primary, co-allocate a secondary, or finish a random live job.
+void churn_step(Pcg32& rng, std::vector<ExecTwin*> twins, SimTime now,
+                std::vector<JobId>& live, JobId& next) {
+  const double roll = rng.next_double();
+  const cluster::Machine& m = twins.front()->machine;
+  if (roll < 0.55) {
+    const bool primary = roll < 0.35;
+    const int want = static_cast<int>(rng.uniform_int(1, primary ? 3 : 2));
+    const auto nodes = primary ? m.find_free_nodes(want)
+                               : m.find_shareable_nodes(want, nullptr);
+    if (!nodes) return;
+    const auto job = make_job(next, want, kHour, 3 * kHour,
+                              static_cast<AppId>(next % trinity().size()));
+    for (ExecTwin* t : twins) {
+      if (primary) {
+        t->machine.allocate_primary(job.id, *nodes);
+      } else {
+        t->machine.allocate_secondary(job.id, *nodes);
+      }
+      t->exec.start(job, now);
+    }
+    live.push_back(next++);
+  } else if (!live.empty()) {
+    const std::size_t idx =
+        rng.next_below(static_cast<std::uint32_t>(live.size()));
+    for (ExecTwin* t : twins) {
+      t->exec.finish(live[idx]);
+      t->machine.release(live[idx]);
+    }
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+  }
+}
+
 class ExecutionFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExecutionFuzz, ProgressInvariantsUnderChurn) {
   Pcg32 rng(static_cast<std::uint64_t>(GetParam()), 0xec5);
-  cluster::Machine machine(6, cluster::NodeConfig{});
   const interference::CorunModel corun;
-  slurmlite::ExecutionModel exec(machine, trinity(), corun);
-
-  struct Live {
-    JobId id;
-    double work_s;
-  };
-  std::vector<Live> live;
+  ExecTwin twin(corun);
+  const slurmlite::ExecutionModel& exec = twin.exec;
+  std::vector<JobId> live;
   JobId next = 1;
   SimTime now = 0;
 
   for (int step = 0; step < 300; ++step) {
     now += rng.uniform_int(1, 60) * kSecond;
-    exec.sync(now);
-
-    const double roll = rng.next_double();
-    if (roll < 0.35) {  // start a primary if space
-      const int want = static_cast<int>(rng.uniform_int(1, 3));
-      if (auto nodes = machine.find_free_nodes(want)) {
-        auto job = make_job(next, want, kHour, 3 * kHour,
-                            static_cast<AppId>(next % trinity().size()));
-        machine.allocate_primary(job.id, *nodes);
-        exec.start(job, now);
-        live.push_back({job.id, to_seconds(job.base_runtime)});
-        ++next;
-      }
-    } else if (roll < 0.55) {  // co-allocate if possible
-      const int want = static_cast<int>(rng.uniform_int(1, 2));
-      if (auto nodes = machine.find_shareable_nodes(want, nullptr)) {
-        auto job = make_job(next, want, kHour, 3 * kHour,
-                            static_cast<AppId>(next % trinity().size()));
-        machine.allocate_secondary(job.id, *nodes);
-        exec.start(job, now);
-        live.push_back({job.id, to_seconds(job.base_runtime)});
-        ++next;
-      }
-    } else if (!live.empty()) {  // finish a random job
-      const std::size_t idx =
-          rng.next_below(static_cast<std::uint32_t>(live.size()));
-      exec.finish(live[idx].id);
-      machine.release(live[idx].id);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-    }
-    exec.refresh_rates();
+    churn_step(rng, {&twin}, now, live, next);
+    twin.settle(now);
 
     // Invariants over every tracked job.
-    for (const auto& j : live) {
-      EXPECT_GE(exec.dilation(j.id), 1.0) << "job " << j.id;
-      EXPECT_LE(exec.dilation(j.id), 3.0) << "job " << j.id;  // sane bound
-      EXPECT_GE(exec.remaining_work_s(j.id), 0.0);
-      EXPECT_LE(exec.progress_s(j.id), j.work_s + 1e-6);
-      EXPECT_GE(exec.predicted_end(j.id, now), now);
-      EXPECT_GE(exec.observed_dilation(j.id, now), 1.0 - 1e-9);
+    for (JobId id : live) {
+      EXPECT_GE(exec.dilation(id), 1.0) << "job " << id;
+      EXPECT_LE(exec.dilation(id), 3.0) << "job " << id;  // sane bound
+      EXPECT_GE(exec.remaining_work_s(id, now), 0.0);
+      EXPECT_LE(exec.progress_s(id, now), to_seconds(kHour) + 1e-6);
+      EXPECT_GE(exec.predicted_end(id), now);
+      EXPECT_GE(exec.observed_dilation(id, now), 1.0 - 1e-9);
     }
     EXPECT_EQ(exec.running_count(), live.size());
-    machine.check_invariants();
+    twin.machine.check_invariants();
   }
+}
+
+// Cadence: two models run the same churn script. `quiet` settles once per
+// decision instant; `busy` also settles (with nothing dirty) and reads
+// every accessor at random instants in between. Progress is written only
+// when a rate changes, so progress and predicted ends agree bit for bit
+// whatever set of instants anyone looked at. (A model that accrues
+// progress at every look re-associates the floating-point sum and fails.)
+TEST_P(ExecutionFuzz, ProgressIsIndependentOfReadInstants) {
+  Pcg32 rng(static_cast<std::uint64_t>(GetParam()), 0xcade);
+  const interference::CorunModel corun;
+  ExecTwin quiet(corun);
+  ExecTwin busy(corun);
+  std::vector<JobId> live;
+  JobId next = 1;
+  SimTime now = 0;
+  double sink = 0;  // keeps the extra reads observable
+
+  for (int step = 0; step < 400; ++step) {
+    const SimTime before = now;
+    now += rng.uniform_int(1, 90) * kSecond;
+    std::vector<SimTime> looks(
+        static_cast<std::size_t>(rng.uniform_int(0, 3)));
+    for (SimTime& t : looks) t = before + rng.uniform_int(1, now - before - 1);
+    std::sort(looks.begin(), looks.end());
+    for (SimTime t : looks) {
+      busy.settle(t);
+      for (JobId id : live) {
+        sink += busy.exec.progress_s(id, t) +
+                busy.exec.remaining_work_s(id, t) +
+                busy.exec.observed_dilation(id, t) +
+                static_cast<double>(busy.exec.predicted_end(id));
+      }
+    }
+    const int ops = static_cast<int>(rng.uniform_int(1, 3));
+    for (int k = 0; k < ops; ++k) {
+      churn_step(rng, {&quiet, &busy}, now, live, next);
+    }
+    quiet.settle(now);
+    busy.settle(now);
+    if (rng.next_double() < 0.5) busy.settle(now);  // a same-instant repeat
+
+    for (JobId id : live) {
+      ASSERT_EQ(quiet.exec.progress_s(id, now), busy.exec.progress_s(id, now))
+          << "job " << id << " step " << step;
+      ASSERT_EQ(quiet.exec.predicted_end(id), busy.exec.predicted_end(id))
+          << "job " << id << " step " << step;
+      ASSERT_EQ(quiet.exec.observed_dilation(id, now),
+                busy.exec.observed_dilation(id, now));
+    }
+  }
+  EXPECT_TRUE(std::isfinite(sink));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutionFuzz, ::testing::Range(1, 7));
 
-// Progress conservation: without churn, a job's progress equals elapsed /
-// dilation exactly, whatever the sync cadence.
-TEST(ExecutionModel, SyncCadenceDoesNotChangeProgress) {
-  for (int chunks : {1, 7, 100}) {
-    cluster::Machine machine(2, cluster::NodeConfig{});
-    const interference::CorunModel corun;
-    slurmlite::ExecutionModel exec(machine, trinity(), corun);
-    auto j1 = make_job(1, 1, kHour, 3 * kHour, trinity().by_name("GTC").id);
-    auto j2 = make_job(2, 1, kHour, 3 * kHour,
-                       trinity().by_name("miniFE").id);
-    machine.allocate_primary(1, {0});
-    exec.start(j1, 0);
-    machine.allocate_secondary(2, {0});
-    exec.start(j2, 0);
-    exec.refresh_rates();
+// Controller-level cadence: extra scheduler passes requested at random
+// instants start nothing (FIFO queue, nothing changed since the pass that
+// the last state change triggered) and settle nothing, so every job's
+// record — start, end, dilation — digests identically with or without
+// them.
+class PassCadence
+    : public ::testing::TestWithParam<std::tuple<core::StrategyKind, int>> {
+};
 
-    const SimTime horizon = 30 * kMinute;
-    for (int i = 1; i <= chunks; ++i) {
-      exec.sync(horizon * i / chunks);
-    }
-    // Same end state regardless of how many syncs happened.
-    EXPECT_NEAR(exec.remaining_work_s(1),
-                3600.0 - to_seconds(horizon) / exec.dilation(1), 1e-6)
-        << chunks << " chunks";
+struct PassRun {
+  std::vector<std::uint64_t> digests;  ///< audit::job_subdigest, submit order
+  SimTime last_end = 0;
+};
+
+PassRun run_with_pokes(core::StrategyKind strategy, std::uint64_t seed,
+                       const std::vector<SimTime>& pokes) {
+  sim::Engine engine;
+  slurmlite::ControllerConfig config;
+  config.nodes = 16;
+  config.strategy = strategy;
+  slurmlite::Controller controller(engine, config, trinity());
+  workload::Generator generator(workload::trinity_campaign(16, 150),
+                                trinity());
+  Pcg32 wl_rng(seed);
+  controller.submit_all(generator.generate(wl_rng));
+  for (SimTime t : pokes) {
+    engine.schedule_at(t, sim::EventPriority::kTimer, "poke",
+                       [&controller] { controller.request_schedule(); });
+  }
+  engine.run();
+  PassRun run;
+  for (const workload::Job& j : controller.job_records()) {
+    run.digests.push_back(audit::job_subdigest(j));
+    run.last_end = std::max(run.last_end, j.end_time);
+  }
+  return run;
+}
+
+TEST_P(PassCadence, ExtraPassesLeaveEveryJobRecordIdentical) {
+  const auto [strategy, seed_int] = GetParam();
+  const auto seed = static_cast<std::uint64_t>(seed_int);
+  const PassRun base = run_with_pokes(strategy, seed, {});
+  Pcg32 rng(seed, 0x90ce);
+  std::vector<SimTime> pokes;
+  for (int k = 0; k < 300; ++k) {
+    pokes.push_back(rng.uniform_int(0, base.last_end));
+  }
+  const PassRun poked = run_with_pokes(strategy, seed, pokes);
+  ASSERT_EQ(base.digests.size(), poked.digests.size());
+  for (std::size_t i = 0; i < base.digests.size(); ++i) {
+    EXPECT_EQ(base.digests[i], poked.digests[i]) << "job #" << i;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    StrategiesAndSeeds, PassCadence,
+    ::testing::Combine(
+        ::testing::Values(core::StrategyKind::kFcfs,
+                          core::StrategyKind::kFirstFit,
+                          core::StrategyKind::kEasyBackfill,
+                          core::StrategyKind::kConservativeBackfill,
+                          core::StrategyKind::kCoFirstFit,
+                          core::StrategyKind::kCoBackfill,
+                          core::StrategyKind::kCoConservative),
+        ::testing::Range(1, 4)));
 
 // --- Controller under interleaved submissions and cancellations --------------------
 

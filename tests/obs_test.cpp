@@ -10,12 +10,19 @@
 // rewrites the files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
+
 #include "obs/manifest.hpp"
+#include "obs/process_stats.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -695,6 +702,30 @@ TEST(Profiler, AggregatesCallsAndTimes) {
   EXPECT_NE(report.find("unit_phase"), std::string::npos);
   EXPECT_NE(report.find("calls"), std::string::npos);
   profiler_reset();
+}
+
+// --- Process stats -----------------------------------------------------------
+
+// Peak RSS is this process image's own high-water mark: positive, and not
+// above getrusage's ru_maxrss, which also carries a larger parent's peak
+// across exec. The kernel answers getrusage from its per-CPU RSS counters
+// without folding them, while /proc/self/status folds them exactly, so
+// VmHWM may read above ru_maxrss by up to one counter batch per CPU
+// (max(32, 2 * cpus) pages) for each of the file, anon and shmem counters.
+TEST(ProcessStats, PeakRssIsPositiveAndWithinRusage) {
+  const ProcessStats stats = process_stats();
+  EXPECT_GT(stats.max_rss_mb, 0.0);
+#if defined(__linux__)
+  rusage usage{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  const long cpus = std::max(1L, sysconf(_SC_NPROCESSORS_CONF));
+  const long slack_pages = 3 * std::max(32L, 2 * cpus) * cpus;
+  const double slack_mb = static_cast<double>(slack_pages) *
+                          static_cast<double>(sysconf(_SC_PAGESIZE)) /
+                          (1024.0 * 1024.0);
+  EXPECT_LE(stats.max_rss_mb,
+            static_cast<double>(usage.ru_maxrss) / 1024.0 + slack_mb);
+#endif
 }
 
 }  // namespace

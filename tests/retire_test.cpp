@@ -307,5 +307,39 @@ TEST(EngineIdWindow, TableStaysBoundedOverManyEvents) {
   EXPECT_LT(peak, 10000u);
 }
 
+// --- Event-sparse settle: exact work counters ------------------------------
+
+// A streamed, retiring 4096-node CoBackfill cell keeps thousands of jobs
+// running at once. A completion event is rescheduled only when its job's
+// rate changes, so events pushed per job (submit, pass, timeout,
+// completion, plus reschedules on co-residency changes) stay a small
+// constant, and the engine's id window — pinned by the oldest live event —
+// spans a few ids per in-flight job. Both counters are host-independent,
+// so the bounds are exact gates, not timings.
+TEST(EventSparse, WideStreamPushesFewEventsPerJob) {
+  constexpr int kNodes = 4096;
+  constexpr int kJobs = 10000;
+  sim::Engine engine;
+  slurmlite::ControllerConfig config;
+  config.nodes = kNodes;
+  config.strategy = core::StrategyKind::kCoBackfill;
+  config.retire_finished = true;
+  slurmlite::Controller controller(engine, config, trinity());
+  const workload::Generator generator(
+      workload::trinity_stream(kNodes, kJobs, 1.1), trinity());
+  workload::GeneratorJobSource source(generator, Pcg32(1, 0x5eed));
+  controller.submit_stream(source);
+  std::size_t peak_ids = 0;
+  while (engine.step()) {
+    peak_ids = std::max(peak_ids, engine.id_table_entries());
+  }
+  EXPECT_EQ(controller.resident_jobs(), 0u);
+  EXPECT_EQ(controller.submitted_total(), static_cast<std::size_t>(kJobs));
+  const double pushed_per_job =
+      static_cast<double>(engine.scheduled()) / kJobs;
+  EXPECT_LE(pushed_per_job, 10.0);
+  EXPECT_LT(peak_ids, static_cast<std::size_t>(10 * kJobs));
+}
+
 }  // namespace
 }  // namespace cosched

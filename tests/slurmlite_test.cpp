@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "slurmlite/config.hpp"
 #include "slurmlite/formatters.hpp"
@@ -33,6 +35,16 @@ struct ExecFixture {
   cluster::Machine machine{2, cluster::NodeConfig{}};
   interference::CorunModel corun{};
   ExecutionModel exec{machine, trinity(), corun};
+
+  /// Settles rates at `now` the way the controller does (drain the
+  /// machine's dirty nodes into the model); returns the changed list.
+  std::vector<JobId> settle(SimTime now) {
+    exec.refresh_rates(machine.dirty_nodes(), now);
+    machine.clear_dirty_nodes();
+    std::vector<JobId> changed = exec.changed();
+    std::sort(changed.begin(), changed.end());
+    return changed;
+  }
 };
 
 TEST(ExecutionModel, ExclusiveJobRunsAtFullRate) {
@@ -40,10 +52,10 @@ TEST(ExecutionModel, ExclusiveJobRunsAtFullRate) {
   auto job = make_job(1, 1, 100 * kSecond, 200 * kSecond, app_id("GTC"));
   f.machine.allocate_primary(1, {0});
   f.exec.start(job, 0);
-  f.exec.refresh_rates();
+  EXPECT_EQ(f.settle(0), std::vector<JobId>{1});
   EXPECT_DOUBLE_EQ(f.exec.dilation(1), 1.0);
-  EXPECT_EQ(f.exec.predicted_end(1, 0), 100 * kSecond);
-  EXPECT_DOUBLE_EQ(f.exec.remaining_work_s(1), 100.0);
+  EXPECT_EQ(f.exec.predicted_end(1), 100 * kSecond);
+  EXPECT_DOUBLE_EQ(f.exec.remaining_work_s(1, 0), 100.0);
 }
 
 TEST(ExecutionModel, ProgressAccrues) {
@@ -51,10 +63,10 @@ TEST(ExecutionModel, ProgressAccrues) {
   auto job = make_job(1, 1, 100 * kSecond, 200 * kSecond, app_id("GTC"));
   f.machine.allocate_primary(1, {0});
   f.exec.start(job, 0);
-  f.exec.refresh_rates();
-  f.exec.sync(40 * kSecond);
-  EXPECT_DOUBLE_EQ(f.exec.remaining_work_s(1), 60.0);
-  EXPECT_EQ(f.exec.predicted_end(1, 40 * kSecond), 100 * kSecond);
+  f.settle(0);
+  EXPECT_DOUBLE_EQ(f.exec.remaining_work_s(1, 40 * kSecond), 60.0);
+  EXPECT_DOUBLE_EQ(f.exec.progress_s(1, 40 * kSecond), 40.0);
+  EXPECT_EQ(f.exec.predicted_end(1), 100 * kSecond);
 }
 
 TEST(ExecutionModel, CoLocationDilatesBothJobs) {
@@ -63,13 +75,13 @@ TEST(ExecutionModel, CoLocationDilatesBothJobs) {
   auto j2 = make_job(2, 1, 100 * kSecond, 300 * kSecond, app_id("miniFE"));
   f.machine.allocate_primary(1, {0});
   f.exec.start(j1, 0);
-  f.exec.refresh_rates();
+  f.settle(0);
   f.machine.allocate_secondary(2, {0});
   f.exec.start(j2, 0);
-  f.exec.refresh_rates();
+  EXPECT_EQ(f.settle(0), (std::vector<JobId>{1, 2}));
   EXPECT_GT(f.exec.dilation(1), 1.0);
   EXPECT_GT(f.exec.dilation(2), 1.0);
-  EXPECT_GT(f.exec.predicted_end(1, 0), 100 * kSecond);
+  EXPECT_GT(f.exec.predicted_end(1), 100 * kSecond);
   // The pair is complementary, so neither side doubles.
   EXPECT_LT(f.exec.dilation(1), 1.5);
   EXPECT_LT(f.exec.dilation(2), 1.5);
@@ -83,20 +95,18 @@ TEST(ExecutionModel, RateRecoversWhenCorunnerLeaves) {
   f.exec.start(j1, 0);
   f.machine.allocate_secondary(2, {0});
   f.exec.start(j2, 0);
-  f.exec.refresh_rates();
+  f.settle(0);
   const double dilated = f.exec.dilation(1);
   EXPECT_GT(dilated, 1.0);
 
   // Co-runner departs at t=50s.
-  f.exec.sync(50 * kSecond);
   f.exec.finish(2);
   f.machine.release(2);
-  f.exec.refresh_rates();
+  EXPECT_EQ(f.settle(50 * kSecond), std::vector<JobId>{1});
   EXPECT_DOUBLE_EQ(f.exec.dilation(1), 1.0);
   // Remaining work takes exactly its exclusive time from here on.
-  const double remaining = f.exec.remaining_work_s(1);
-  EXPECT_EQ(f.exec.predicted_end(1, 50 * kSecond),
-            50 * kSecond + from_seconds(remaining));
+  const double remaining = f.exec.remaining_work_s(1, 50 * kSecond);
+  EXPECT_EQ(f.exec.predicted_end(1), 50 * kSecond + from_seconds(remaining));
   // Cumulative dilation reflects the shared phase.
   EXPECT_GT(f.exec.observed_dilation(1, 50 * kSecond), 1.0);
 }
@@ -109,9 +119,29 @@ TEST(ExecutionModel, MultiNodeJobPacedBySlowestNode) {
   f.exec.start(j1, 0);
   f.machine.allocate_secondary(2, {0});  // only node 0 is shared
   f.exec.start(j2, 0);
-  f.exec.refresh_rates();
+  f.settle(0);
   // Job 1 pays the full co-run dilation although node 1 is unshared (BSP).
   EXPECT_GT(f.exec.dilation(1), 1.0);
+}
+
+TEST(ExecutionModel, EqualRateKeepsAnchorAndEnd) {
+  ExecFixture f;
+  auto j1 = make_job(1, 2, 100 * kSecond, 300 * kSecond, app_id("GTC"));
+  auto j2 = make_job(2, 1, 100 * kSecond, 300 * kSecond, app_id("miniFE"));
+  auto j3 = make_job(3, 1, 100 * kSecond, 300 * kSecond, app_id("miniFE"));
+  f.machine.allocate_primary(1, {0, 1});
+  f.exec.start(j1, 0);
+  f.machine.allocate_secondary(2, {0});
+  f.exec.start(j2, 0);
+  f.settle(0);
+  const SimTime end = f.exec.predicted_end(1);
+  // The same app joins job 1's other node: node 1's slowdown equals node
+  // 0's, so job 1's pace (the max) does not move and only the start is
+  // on the changed list.
+  f.machine.allocate_secondary(3, {1});
+  f.exec.start(j3, 30 * kSecond);
+  EXPECT_EQ(f.settle(30 * kSecond), std::vector<JobId>{3});
+  EXPECT_EQ(f.exec.predicted_end(1), end);
 }
 
 // --- Controller integration through small scripted scenarios --------------------------
