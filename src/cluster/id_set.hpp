@@ -177,7 +177,7 @@ class NodeIdSet {
   /// reporting (the `index_blocks_skipped_wall` counter); never feeds a
   /// decision. Only valid when all scans of this set run on one thread —
   /// true for the Machine's sets, which are iterated on the controller
-  /// thread only (parallel shards scan a materialized flat array).
+  /// thread only.
   std::uint64_t take_blocks_skipped() const {
     const std::uint64_t n = blocks_skipped_;
     blocks_skipped_ = 0;

@@ -31,26 +31,27 @@ std::optional<double> CoAllocator::admissible(SchedulerHost& host,
   const workload::Job& cand = host.job(candidate);
   const apps::AppModel& cand_app = host.app_of(candidate);
   if (!cand.shareable || !cand_app.shareable) {
-    serial_gate_.last_reason = obs::ReasonCode::kCandidateNotShareable;
+    gate_.last_reason = obs::ReasonCode::kCandidateNotShareable;
     return std::nullopt;
   }
   if (!host.machine().node(node_id).secondary_free()) {
-    serial_gate_.last_reason = obs::ReasonCode::kInsufficientNodes;
+    gate_.last_reason = obs::ReasonCode::kInsufficientNodes;
     return std::nullopt;
   }
   return node_admissible(
       host, Candidate{&cand, &cand_app, host.now() + cand.walltime_limit},
-      node_id, respect_deadline, serial_gate_);
+      node_id, respect_deadline);
 }
 
 std::optional<double> CoAllocator::node_admissible(
     SchedulerHost& host, const Candidate& cand, NodeId node_id,
-    bool respect_deadline, GateScratch& scratch) const {
+    bool respect_deadline) const {
+  GateScratch& scratch = gate_;
   const cluster::Machine& machine = host.machine();
   const apps::AppModel& cand_app = *cand.app;
 
   // Consent and (optionally) deadline checks are common to every gate.
-  // Resident-side host lookups are served from the lane's per-node
+  // Resident-side host lookups are served from the per-node
   // snapshot, rebuilt only when the node's generation moved — the same
   // node is scanned by every candidate of every pass, but changes rarely.
   const std::size_t node_idx = static_cast<std::size_t>(node_id);
@@ -124,7 +125,7 @@ std::optional<double> CoAllocator::node_admissible(
         scratch.last_reason = outcome.reason;
         return outcome.score;
       }
-      // Lane-local bump storage: pointer bumps instead of the malloc/free
+      // Arena bump storage: pointer bumps instead of the malloc/free
       // pairs the no-per-pass-alloc lint rule bans from this loop.
       PassArena::Frame gate_frame = scratch.arena.frame();
       const std::size_t nstress = resident_apps.size() + 1;
@@ -207,37 +208,6 @@ std::optional<double> CoAllocator::node_admissible(
   return std::nullopt;
 }
 
-std::size_t CoAllocator::arena_bytes_high_water() const {
-  std::size_t n = serial_gate_.arena.bytes_high_water();
-  for (const auto& shard : shard_results_) {
-    n += shard->gate.arena.bytes_high_water();
-  }
-  return n;
-}
-
-void CoAllocator::score_shard(SchedulerHost& host, const Candidate& cand,
-                              bool respect_deadline, int shard,
-                              int shards) const {
-  // Runs on a pool thread. Everything read is immutable for the duration
-  // of the pass (host const queries, flat_nodes_, options_); everything
-  // written lives in this shard's heap-separated slot.
-  ShardResult& out = *shard_results_[static_cast<std::size_t>(shard)];
-  out.ranked.clear();
-  out.rejects = obs::ReasonCounts{};
-  out.scanned = 0;
-  const BlockRange block = shard_block(flat_nodes_.size(), shards, shard);
-  for (std::size_t i = block.begin; i < block.end; ++i) {
-    const NodeId n = flat_nodes_[i];
-    ++out.scanned;
-    if (auto score =
-            node_admissible(host, cand, n, respect_deadline, out.gate)) {
-      out.ranked.emplace_back(-*score, n);
-    } else {
-      out.rejects.add(out.gate.last_reason);
-    }
-  }
-}
-
 std::optional<std::vector<NodeId>> CoAllocator::select_nodes(
     SchedulerHost& host, JobId candidate, bool respect_deadline) const {
   obs::Tracer* tracer = host.tracer();
@@ -264,47 +234,12 @@ std::optional<std::vector<NodeId>> CoAllocator::select_nodes(
   // every node.
   obs::ReasonCounts rejects;
   int scanned = 0;
-  const cluster::NodeIdSet& free_set = machine.free_secondary_nodes();
-  PassExecutor* exec = host.pass_executor();
-  const int shards =
-      exec != nullptr
-          ? exec->plan_shards(static_cast<std::size_t>(free_set.size()))
-          : 1;
-  if (shards <= 1) {
-    // Inline serial scan — the differential reference PassParity compares
-    // the parallel split against, and the only path when no executor is
-    // attached (--pass-threads 1, every sweep cell, all historical runs).
-    for (NodeId n : free_set) {
-      ++scanned;
-      if (auto score =
-              node_admissible(host, ctx, n, respect_deadline, serial_gate_)) {
-        ranked.emplace_back(-*score, n);
-      } else {
-        rejects.add(serial_gate_.last_reason);
-      }
-    }
-  } else {
-    // Parallel scan: materialize the bitmap walk (ascending ids; bitmap
-    // iteration has no random access) so shard_block can slice it into
-    // contiguous blocks, then score every shard share-nothing.
-    flat_nodes_.clear();
-    flat_nodes_.reserve(static_cast<std::size_t>(free_set.size()));
-    for (NodeId n : free_set) flat_nodes_.push_back(n);
-    while (shard_results_.size() < static_cast<std::size_t>(shards)) {
-      shard_results_.push_back(std::make_unique<ShardResult>());
-    }
-    exec->parallel_for(shards, [&](int shard) {
-      score_shard(host, ctx, respect_deadline, shard, shards);
-    });
-    // Shard blocks are contiguous slices of the ascending-id array, so
-    // concatenating shard results in ascending shard order replays the
-    // serial scan's append order byte for byte — same ranked sequence,
-    // same reject tallies, same scanned total.
-    for (int s = 0; s < shards; ++s) {  // cosched-lint: fixed-combine
-      const ShardResult& r = *shard_results_[static_cast<std::size_t>(s)];
-      ranked.insert(ranked.end(), r.ranked.begin(), r.ranked.end());
-      rejects.merge(r.rejects);
-      scanned += r.scanned;
+  for (NodeId n : machine.free_secondary_nodes()) {
+    ++scanned;
+    if (auto score = node_admissible(host, ctx, n, respect_deadline)) {
+      ranked.emplace_back(-*score, n);
+    } else {
+      rejects.add(gate_.last_reason);
     }
   }
   if (obs::Registry* registry = host.registry()) {
@@ -323,8 +258,7 @@ std::optional<std::vector<NodeId>> CoAllocator::select_nodes(
   }
   // Only the best `wanted` entries are taken; keys (-score, id) are unique,
   // so a partial sort yields exactly the full sort's prefix — including
-  // the tie-break: equal scores order by lower node id, and no shard
-  // split can reorder equal keys because the keys carry the id.
+  // the tie-break: equal scores order by lower node id.
   std::partial_sort(ranked.begin(),
                     ranked.begin() + static_cast<std::ptrdiff_t>(wanted),
                     ranked.end());

@@ -10,22 +10,16 @@
 //      end does not outlive any primary it would join, so backfill
 //      reservations computed from walltime bounds stay valid.
 //
-// The candidate scan is embarrassingly parallel: each node's gate is a
-// pure function of immutable pass state. When the host provides a
-// core::PassExecutor, select_nodes() block-partitions the scan across it
-// (DESIGN.md "Intra-pass parallelism") with every piece of mutable scratch
-// made shard-local, and folds shard results in ascending shard order — so
-// decisions, reason codes, and trace bytes are identical to the serial
-// scan at any thread count (tests/pass_parity_test.cpp).
+// The candidate scan is one serial loop over the machine's free-secondary
+// index in ascending node id order (DESIGN.md "Serial scheduler passes"
+// explains why it is not split across threads).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/arena.hpp"
-#include "core/parallel.hpp"
 #include "core/scheduler.hpp"
 #include "obs/trace.hpp"
 
@@ -53,6 +47,12 @@ class CoAllocator {
   /// Ranking score given to class-rule admits and learned-mode admits of
   /// unseen pairs (no quantitative prediction available).
   static constexpr double kLearnedFallbackScore = 1.0;
+
+  /// High-water bytes of the gate arena. Feeds the `arena_bytes_wall`
+  /// gauge; reporting only.
+  std::size_t arena_bytes_high_water() const {
+    return gate_.arena.bytes_high_water();
+  }
 
  private:
   /// Candidate-side state, fetched once per select_nodes pass instead of
@@ -89,16 +89,12 @@ class CoAllocator {
     obs::ReasonCode reason;
   };
 
-  /// Every piece of mutable state one gate evaluation lane reads or
-  /// writes. The serial scan owns one (serial_gate_); a parallel scan
-  /// gives each shard its own inside ShardResult, so node_admissible is
-  /// share-nothing by construction — no member of CoAllocator itself is
-  /// written while shards run. Gate outcomes are pure functions of
-  /// immutable pass state, so lane-local caches (which shard scans which
-  /// node shifts between passes) never change a result, only its cost.
+  /// The mutable state gate evaluations read and write. Gate outcomes are
+  /// pure functions of pass state, so the caches below change only the
+  /// cost of a result, never the result.
   struct GateScratch {
-    /// Why the most recent node_admissible() call on this lane went the
-    /// way it did: kAccepted after an admit, else the first fence hit.
+    /// Why the most recent node_admissible() call went the way it did:
+    /// kAccepted after an admit, else the first fence hit.
     obs::ReasonCode last_reason = obs::ReasonCode::kAccepted;
     /// Oracle-mode gate outcomes per (resident-app, candidate-app) pair.
     /// Stress vectors and gate options are immutable, so the two-job gate
@@ -117,58 +113,24 @@ class CoAllocator {
     /// can. 0 = cache never filled.
     std::uint64_t cache_machine = 0;
     std::vector<const apps::AppModel*> apps_scratch;
-    /// Lane-local bump storage for per-gate arrays (multi-resident stress
-    /// staging): pointer-bump instead of a malloc/free pair per gate.
-    /// Lane-owned, so the parallel scan stays share-nothing.
+    /// Bump storage for per-gate arrays (multi-resident stress staging):
+    /// pointer-bump instead of a malloc/free pair per gate.
     PassArena arena;
-  };
-
-  /// One shard's share-nothing scan output: its private gate lane plus
-  /// the partial results the coordinator folds after the join. Heap-
-  /// separated (unique_ptr in shard_results_) so concurrently-written
-  /// shard states never share a cache line (the false-sharing trap
-  /// pSTL-Bench documents for contiguous per-thread accumulators).
-  struct ShardResult {
-    GateScratch gate;
-    std::vector<std::pair<double, NodeId>> ranked;  ///< (-throughput, node)
-    obs::ReasonCounts rejects;
-    int scanned = 0;
   };
 
   /// The per-node gate body behind admissible()/select_nodes(); assumes
   /// the node's secondary slot is free and the candidate side is already
-  /// shareable. Touches mutable state only through `scratch` — the lane
-  /// discipline that makes the parallel scan share-nothing.
+  /// shareable.
   std::optional<double> node_admissible(SchedulerHost& host,
                                         const Candidate& cand, NodeId node,
-                                        bool respect_deadline,
-                                        GateScratch& scratch) const;
-
-  /// Scores this shard's shard_block of flat_nodes_ into
-  /// shard_results_[shard]. Runs on a pool thread; writes nothing else.
-  void score_shard(SchedulerHost& host, const Candidate& cand,
-                   bool respect_deadline, int shard, int shards) const;
-
- public:
-  /// High-water bytes across every gate lane's arena (serial + shards).
-  /// Feeds the `arena_bytes_wall` gauge; reporting only.
-  std::size_t arena_bytes_high_water() const;
-
- private:
+                                        bool respect_deadline) const;
 
   CoAllocationOptions options_;
-  /// The serial scan's gate lane (also serves the public admissible()
-  /// probe). A CoAllocator belongs to one scheduler, which belongs to one
-  /// simulation cell; outside a PassExecutor fan-out, mutable scratch
-  /// needs no synchronization.
-  mutable GateScratch serial_gate_;
+  /// Gate scratch shared by select_nodes() and the public admissible()
+  /// probe. A CoAllocator belongs to one scheduler, which belongs to one
+  /// simulation cell, so mutable scratch needs no synchronization.
+  mutable GateScratch gate_;
   mutable std::vector<std::pair<double, NodeId>> ranked_scratch_;
-  /// Parallel-scan staging: the free-secondary bitmap materialized to a
-  /// flat ascending-id array (bitmap iteration has no random access, and
-  /// block partitioning needs it), and one heap-separated result slot per
-  /// shard, reused across passes.
-  mutable std::vector<NodeId> flat_nodes_;
-  mutable std::vector<std::unique_ptr<ShardResult>> shard_results_;
 };
 
 }  // namespace cosched::core

@@ -57,16 +57,6 @@ struct ReasonCounts {
   void add(ReasonCode reason) {
     ++counts[static_cast<std::size_t>(reason)];
   }
-
-  /// Folds another tally in (per-shard scan counters merged share-nothing
-  /// after a parallel candidate scan joins). Integer sums commute, but
-  /// callers still fold shards in ascending shard order so every merged
-  /// artifact — not just this one — shares the serial scan's order.
-  void merge(const ReasonCounts& other) {
-    for (int i = 0; i < kReasonCodeCount; ++i) {
-      counts[i] += other.counts[i];
-    }
-  }
 };
 
 /// Collects trace records as serialized JSONL lines. One tracer per

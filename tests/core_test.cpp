@@ -320,6 +320,22 @@ TEST(CoAllocator, RanksByCombinedThroughput) {
   EXPECT_EQ(nodes->front(), 0);  // best partner first (GTC on node 0)
 }
 
+TEST(CoAllocator, ClassRuleTiesResolveToLowestNodeIds) {
+  FakeHost host(6, trinity());
+  // Compute-bound GTC everywhere: every node is an equally good class-rule
+  // partner for memory-bound miniFE, so every admit scores the same.
+  host.add_running_primary(
+      make_job(1, 6, 90 * kMinute, 100 * kMinute, app_id("GTC")),
+      {0, 1, 2, 3, 4, 5});
+  host.add_pending(
+      make_job(2, 3, 30 * kMinute, 40 * kMinute, app_id("miniFE")));
+  CoAllocationOptions options;
+  options.gate_mode = GateMode::kClassRule;
+  const auto nodes = CoAllocator(options).select_nodes(host, 2, true);
+  ASSERT_TRUE(nodes.has_value());
+  EXPECT_EQ(*nodes, (std::vector<NodeId>{0, 1, 2}));
+}
+
 // --- Co strategies -------------------------------------------------------------------
 
 TEST(CoFirstFit, FallsBackToSharing) {

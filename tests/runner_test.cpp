@@ -102,6 +102,25 @@ TEST(ParallelRunner, RethrowsLowestFailingCell) {
   }
 }
 
+// Batch shapes a sweep never hits by hand: counts below, at and far above
+// the pool width, on pools of every small width, reused batch after batch.
+// Each cell's slot must hold what a plain serial loop computes.
+TEST(ParallelRunner, MapEqualsSerialLoopAcrossRandomCountsAndWidths) {
+  for (int threads = 1; threads <= 5; ++threads) {
+    runner::ParallelRunner pool(threads);
+    for (std::uint64_t round = 0; round < 8; ++round) {
+      const std::uint64_t salt =
+          derive_seed(static_cast<std::uint64_t>(threads), round);
+      const std::size_t count = static_cast<std::size_t>(salt % 300);
+      std::vector<std::uint64_t> serial(count);
+      for (std::size_t i = 0; i < count; ++i) serial[i] = splitmix64(salt ^ i);
+      const auto pooled = pool.map<std::uint64_t>(
+          count, [&](std::size_t i) { return splitmix64(salt ^ i); });
+      EXPECT_EQ(pooled, serial) << "threads " << threads << " count " << count;
+    }
+  }
+}
+
 TEST(ParallelRunner, EmptyBatchCompletes) {
   runner::ParallelRunner pool(4);
   pool.for_each(0, [](std::size_t) { FAIL() << "no cells to run"; });
